@@ -7,7 +7,7 @@ use crate::runtime::ParallelRuntime;
 use crate::Estimator;
 use relmax_ugraph::index::{PrunedGraph, RelIndex, StPlan};
 use relmax_ugraph::{
-    flip_threshold, with_scratch, with_scratch_pair, CoinId, ExtraEdge, NodeId, ProbGraph,
+    flip_threshold, with_scratch, with_scratch_pair, CoinId, CsrGraph, ExtraEdge, NodeId, ProbGraph,
 };
 use std::sync::Arc;
 
@@ -125,6 +125,13 @@ impl McEstimator {
         let idx = self.index.as_deref()?;
         idx.matches(g.num_nodes(), g.num_coins(), g.is_directed())
             .then_some(idx)
+    }
+
+    /// The active index with its condensed graph, when condensation
+    /// collapsed anything (an identity index samples `g` itself).
+    fn condensation<G: ProbGraph>(&self, g: &G) -> Option<(&RelIndex, &CsrGraph)> {
+        let idx = self.active_index(g)?;
+        Some((idx, idx.condensed()?))
     }
 
     /// The result of a provably-impossible query: exactly 0.0 in every
@@ -474,17 +481,16 @@ impl Estimator for McEstimator {
         }
         if let Some(idx) = self.active_index(g) {
             // Certain/Impossible plans were consumed by `st_shortcircuit`;
-            // what remains is sampling on the condensed graph, masked to
+            // what remains is sampling on the condensed graph (the
+            // original one when condensation is the identity), masked to
             // the supernodes that can lie on an s-t path. Both
             // transformations preserve every world's verdict, and coins
             // stay keyed to original ids, so hit counts — and hence the
             // Estimate — are bit-identical to unindexed sampling.
             if let StPlan::Sample { s, t, mask } = idx.st_plan(s, t) {
-                return match mask {
-                    Some(mask) => {
-                        self.st_sampled(&PrunedGraph::new(idx.condensed(), &mask), s, t, budget)
-                    }
-                    None => self.st_sampled(idx.condensed(), s, t, budget),
+                return match idx.condensed() {
+                    Some(c) => self.st_masked(c, s, t, mask.as_deref(), budget),
+                    None => self.st_masked(g, s, t, mask.as_deref(), budget),
                 };
             }
             unreachable!("short-circuit plans are handled above");
@@ -493,28 +499,26 @@ impl Estimator for McEstimator {
     }
 
     fn from_estimates<G: ProbGraph>(&self, g: &G, s: NodeId, budget: Budget) -> Vec<Estimate> {
-        match self.active_index(g) {
+        match self.condensation(g) {
             // Per-supernode counts equal every member's per-node counts,
             // so sampling the condensed graph and expanding is
             // bit-identical (the checkpoint half-width is a max over the
             // same multiset of counts).
-            Some(idx) if !idx.is_identity() => {
-                let per_super =
-                    self.vector_estimates(idx.condensed(), idx.supernode(s), false, budget);
+            Some((idx, c)) => {
+                let per_super = self.vector_estimates(c, idx.supernode(s), false, budget);
                 idx.expand(&per_super)
             }
-            _ => self.vector_estimates(g, s, false, budget),
+            None => self.vector_estimates(g, s, false, budget),
         }
     }
 
     fn to_estimates<G: ProbGraph>(&self, g: &G, t: NodeId, budget: Budget) -> Vec<Estimate> {
-        match self.active_index(g) {
-            Some(idx) if !idx.is_identity() => {
-                let per_super =
-                    self.vector_estimates(idx.condensed(), idx.supernode(t), true, budget);
+        match self.condensation(g) {
+            Some((idx, c)) => {
+                let per_super = self.vector_estimates(c, idx.supernode(t), true, budget);
                 idx.expand(&per_super)
             }
-            _ => self.vector_estimates(g, t, true, budget),
+            None => self.vector_estimates(g, t, true, budget),
         }
     }
 
@@ -526,28 +530,25 @@ impl Estimator for McEstimator {
         budget: Budget,
     ) -> Vec<Vec<Estimate>> {
         if let Some(idx) = self.active_index(g) {
-            let partitioned = idx.num_components() > 1;
-            if !idx.is_identity() || partitioned {
+            // Partition the query matrix by possible-graph component: a
+            // world's BFS never crosses a component boundary, so
+            // cross-component cells are 0 in every world and each
+            // component group samples only its own (sources × targets)
+            // sub-matrix.
+            let groups =
+                (idx.num_components() > 1).then(|| component_groups(idx, sources, targets));
+            if let Some(c) = idx.condensed() {
                 // Remap endpoints to supernodes; every world's verdict for
                 // (s, t) equals the condensed verdict for their supernodes.
                 let ss: Vec<NodeId> = sources.iter().map(|&s| idx.supernode(s)).collect();
                 let tt: Vec<NodeId> = targets.iter().map(|&t| idx.supernode(t)).collect();
-                if partitioned {
-                    // Partition the query matrix by possible-graph
-                    // component: a world's BFS never crosses a component
-                    // boundary, so cross-component cells are 0 in every
-                    // world and each component group samples only its own
-                    // (sources × targets) sub-matrix.
-                    let groups = component_groups(idx, sources, targets);
-                    return self.pairwise_sampled_partitioned(
-                        idx.condensed(),
-                        &ss,
-                        &tt,
-                        &groups,
-                        budget,
-                    );
-                }
-                return self.pairwise_sampled(idx.condensed(), &ss, &tt, budget);
+                return match groups {
+                    Some(groups) => self.pairwise_sampled_partitioned(c, &ss, &tt, &groups, budget),
+                    None => self.pairwise_sampled(c, &ss, &tt, budget),
+                };
+            }
+            if let Some(groups) = groups {
+                return self.pairwise_sampled_partitioned(g, sources, targets, &groups, budget);
             }
         }
         self.pairwise_sampled(g, sources, targets, budget)
@@ -573,30 +574,22 @@ impl Estimator for McEstimator {
         if s == t {
             return vec![Estimate::exact(1.0); candidates.len()];
         }
-        if let Some(idx) = self.active_index(g) {
-            if !idx.is_identity() {
-                // Candidates may bridge components, so no component
-                // short-circuit or path mask applies here — but the
-                // fwd/rev + bridging decomposition is endpoint-local, so
-                // condensation alone is safe: remap candidate endpoints
-                // and scan the condensed graph (same coin count, so the
-                // overlay coin id is unchanged too).
-                let mapped: Vec<ExtraEdge> = candidates
-                    .iter()
-                    .map(|c| ExtraEdge {
-                        src: idx.supernode(c.src),
-                        dst: idx.supernode(c.dst),
-                        prob: c.prob,
-                    })
-                    .collect();
-                return self.scan_sampled(
-                    idx.condensed(),
-                    idx.supernode(s),
-                    idx.supernode(t),
-                    &mapped,
-                    budget,
-                );
-            }
+        if let Some((idx, c)) = self.condensation(g) {
+            // Candidates may bridge components, so no component
+            // short-circuit or path mask applies here — but the fwd/rev +
+            // bridging decomposition is endpoint-local, so condensation
+            // alone is safe: remap candidate endpoints and scan the
+            // condensed graph (same coin count, so the overlay coin id is
+            // unchanged too).
+            let mapped: Vec<ExtraEdge> = candidates
+                .iter()
+                .map(|e| ExtraEdge {
+                    src: idx.supernode(e.src),
+                    dst: idx.supernode(e.dst),
+                    prob: e.prob,
+                })
+                .collect();
+            return self.scan_sampled(c, idx.supernode(s), idx.supernode(t), &mapped, budget);
         }
         self.scan_sampled(g, s, t, candidates, budget)
     }
@@ -728,6 +721,21 @@ impl Estimator for McEstimator {
 /// [`PrunedGraph`] over it — so these helpers never consult the index
 /// again.
 impl McEstimator {
+    /// [`Self::st_sampled`] on `g`, restricted to the nodes of `mask`.
+    fn st_masked<G: ProbGraph>(
+        &self,
+        g: &G,
+        s: NodeId,
+        t: NodeId,
+        mask: Option<&[u64]>,
+        budget: Budget,
+    ) -> Estimate {
+        match mask {
+            Some(mask) => self.st_sampled(&PrunedGraph::new(g, mask), s, t, budget),
+            None => self.st_sampled(g, s, t, budget),
+        }
+    }
+
     fn st_sampled<G: ProbGraph>(&self, g: &G, s: NodeId, t: NodeId, budget: Budget) -> Estimate {
         let mut hits = 0u64;
         let (z, delta, stopped) = drive_budget(budget, |lo, hi, delta| {

@@ -10,7 +10,10 @@
 //!    subgraph (connected components, for undirected graphs) collapse into
 //!    *supernodes*. Sampling then runs on the condensed graph — fewer nodes,
 //!    fewer arcs — while every surviving arc keeps its **original coin id**,
-//!    which is what keeps estimates bit-identical (see below).
+//!    which is what keeps estimates bit-identical (see below). When nothing
+//!    collapses (no certain cycle; in particular, no certain arc at all) the
+//!    condensation is the identity: the index then holds no condensed copy
+//!    and sampling runs on the original graph.
 //! 2. **Possible-graph components + blocks.** Over the graph of edges with
 //!    `p > 0` ("possible" edges), connected components are world-independent
 //!    *separators*: an s-t query across components is 0.0 in every world and
@@ -23,7 +26,9 @@
 //!    the possible graph (chunked rows, built only while the condensed graph
 //!    is small) or falls back to one BFS pair per query. An s-t query prunes
 //!    to `fwd(s) ∩ rev(t)`, and short-circuits to 0.0 when `t` is not even
-//!    possibly reachable.
+//!    possibly reachable. A component that is strongly connected in the
+//!    possible graph (one SCC of the `p > 0` arcs) needs neither: every
+//!    node of it lies on some s-t path, so its plans are decided in `O(1)`.
 //!
 //! ## Why pruning preserves bit-identity
 //!
@@ -143,9 +148,11 @@ pub enum StPlan {
     /// directed possible path): the reliability is exactly 0.0 — no
     /// sampling needed.
     Impossible,
-    /// Sample on the condensed graph between the mapped endpoints, with an
-    /// optional node mask restricting the traversal to supernodes that can
-    /// lie on an s-t path (`None` when the mask would not prune anything).
+    /// Sample between the mapped endpoints — on the [condensed
+    /// graph](RelIndex::condensed), or on the original graph when the
+    /// condensation is the identity — with an optional node mask
+    /// restricting the traversal to supernodes that can lie on an s-t path
+    /// (`None` when the mask would not prune anything).
     Sample {
         /// `s` mapped to its supernode in the condensed graph.
         s: NodeId,
@@ -195,7 +202,17 @@ pub struct RelIndex {
     /// Component sizes, counted in supernodes.
     comp_size: Vec<u32>,
     num_comps: usize,
-    condensed: CsrGraph,
+    /// Directed graphs: whether each possible-graph component is strongly
+    /// connected in the possible graph. Every s-t plan inside such a
+    /// component samples the whole component, so it needs no traversal.
+    /// Empty for undirected graphs.
+    comp_strong: Vec<bool>,
+    /// The condensed graph over supernodes. `None` when the condensation
+    /// is the identity and no plan needs a per-query BFS (undirected, or
+    /// every directed plan is decided by the closure or `comp_strong`):
+    /// the original graph then serves every purpose, so the index holds
+    /// no second copy of it.
+    condensed: Option<CsrGraph>,
     closure: Option<Closure>,
     blocks: Option<Blocks>,
 }
@@ -207,7 +224,7 @@ impl RelIndex {
     pub fn build(csr: &CsrGraph) -> RelIndex {
         let n = csr.num_nodes;
         let raw = if csr.directed {
-            certain_sccs_directed(csr)
+            sccs_directed(csr, |p| p == 1.0)
         } else {
             certain_components_undirected(csr)
         };
@@ -266,24 +283,36 @@ impl RelIndex {
     }
 
     fn assemble(csr: &CsrGraph, super_of: Vec<u32>, num_super: usize) -> RelIndex {
-        let condensed = build_condensed(csr, &super_of, num_super);
-        let (comp_of_super, num_comps) = possible_components(&condensed);
+        // An identity condensation equals the original graph up to
+        // self-loops, which no structure below depends on: derive
+        // everything from `csr` instead of a copy of it.
+        let identity = num_super == csr.num_nodes;
+        let condensed = (!identity).then(|| build_condensed(csr, &super_of, num_super));
+        let g = condensed.as_ref().unwrap_or(csr);
+        let (comp_of_super, num_comps) = possible_components(g);
         let mut comp_size = vec![0u32; num_comps];
         for &c in &comp_of_super {
             comp_size[c as usize] += 1;
         }
-        let closure = if condensed.directed
+        let closure = if g.directed
             && num_super <= CLOSURE_NODE_LIMIT
-            && condensed.out_dst.len() <= CLOSURE_ARC_LIMIT
+            && g.out_dst.len() <= CLOSURE_ARC_LIMIT
         {
-            Some(build_closure(&condensed))
+            Some(build_closure(g))
         } else {
             None
         };
-        let blocks = if condensed.directed {
-            None
+        let (blocks, comp_strong) = if g.directed {
+            (None, strong_components(g, &comp_of_super, num_comps))
         } else {
-            Some(build_blocks(&condensed))
+            (Some(build_blocks(g)), Vec::new())
+        };
+        // Only the per-query BFS pair of `directed_mask` walks a graph
+        // after construction; an identity index keeps a copy just for it.
+        let needs_bfs = closure.is_none() && comp_strong.contains(&false);
+        let condensed = match condensed {
+            None if needs_bfs => Some(build_condensed(csr, &super_of, num_super)),
+            condensed => condensed,
         };
         RelIndex {
             directed: csr.directed,
@@ -295,6 +324,7 @@ impl RelIndex {
             comp_of_super,
             comp_size,
             num_comps,
+            comp_strong,
             condensed,
             closure,
             blocks,
@@ -340,7 +370,8 @@ impl RelIndex {
     }
 
     /// Whether condensation collapsed nothing (every node its own
-    /// supernode) — the condensed graph then mirrors the original.
+    /// supernode): [`RelIndex::condensed`] is then `None`, and supernode
+    /// ids are the original node ids.
     pub fn is_identity(&self) -> bool {
         self.num_super == self.nodes
     }
@@ -371,8 +402,12 @@ impl RelIndex {
     /// The condensed sampling graph over supernodes. Arcs keep their
     /// original probabilities and **coin ids**; intra-supernode edges are
     /// dropped (they never affect reachability between supernodes).
-    pub fn condensed(&self) -> &CsrGraph {
-        &self.condensed
+    ///
+    /// `None` when the condensation is the [identity](RelIndex::is_identity):
+    /// sample the original graph instead, which gives the same verdicts in
+    /// every world without a second copy of the graph.
+    pub fn condensed(&self) -> Option<&CsrGraph> {
+        self.condensed.as_ref().filter(|_| !self.is_identity())
     }
 
     /// Map per-supernode results back to per-node results: entry `v` is
@@ -399,9 +434,16 @@ impl RelIndex {
             return StPlan::Impossible;
         }
         let mask = if self.directed {
-            match self.directed_mask(ss, tt) {
-                Ok(mask) => mask,
-                Err(Unreachable) => return StPlan::Impossible,
+            if self.comp_strong[self.comp_of_super[ss as usize] as usize] {
+                // Strongly connected: t is possibly reachable and every
+                // supernode of the component lies on some s-t path, which
+                // is what `directed_mask` would find with two BFS.
+                None
+            } else {
+                match self.directed_mask(ss, tt) {
+                    Ok(mask) => mask,
+                    Err(Unreachable) => return StPlan::Impossible,
+                }
             }
         } else {
             self.undirected_mask(ss, tt)
@@ -438,11 +480,15 @@ impl RelIndex {
                 &cl.rev[tt as usize * words..][..words],
             ),
             None => {
-                fwd = reach_bits(&self.condensed, ss, false);
+                let g = self
+                    .condensed
+                    .as_ref()
+                    .expect("an index without a closure keeps its graph for non-strong components");
+                fwd = reach_bits(g, ss, false);
                 if !bit(&fwd, tt) {
                     return Err(Unreachable);
                 }
-                rev = reach_bits(&self.condensed, tt, true);
+                rev = reach_bits(g, tt, true);
                 (&fwd, &rev)
             }
         };
@@ -571,9 +617,10 @@ fn certain_components_undirected(csr: &CsrGraph) -> Vec<u32> {
     label
 }
 
-/// Strongly connected components of the `p == 1.0` subgraph of a directed
-/// graph (iterative Tarjan).
-fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
+/// Strongly connected components of the subgraph of arcs whose
+/// probability satisfies `keep` (iterative Tarjan): `p == 1.0` gives the
+/// certain SCCs, `p > 0.0` those of the possible graph.
+fn sccs_directed(csr: &CsrGraph, keep: impl Fn(f64) -> bool) -> Vec<u32> {
     let n = csr.num_nodes;
     let mut disc = vec![0u32; n];
     let mut low = vec![0u32; n];
@@ -600,7 +647,7 @@ fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
             while *cursor < end {
                 let a = *cursor as usize;
                 *cursor += 1;
-                if csr.out_prob[a] != 1.0 {
+                if !keep(csr.out_prob[a]) {
                     continue;
                 }
                 let u = csr.out_dst[a];
@@ -640,6 +687,23 @@ fn certain_sccs_directed(csr: &CsrGraph) -> Vec<u32> {
         }
     }
     comp
+}
+
+/// Per possible-graph component of a directed graph: whether it is one
+/// strongly connected component of the possible graph.
+fn strong_components(g: &CsrGraph, comp_of: &[u32], num_comps: usize) -> Vec<bool> {
+    let scc = sccs_directed(g, |p| p > 0.0);
+    let mut first = vec![u32::MAX; num_comps];
+    let mut strong = vec![true; num_comps];
+    for (v, &c) in comp_of.iter().enumerate() {
+        let c = c as usize;
+        if first[c] == u32::MAX {
+            first[c] = scc[v];
+        } else if first[c] != scc[v] {
+            strong[c] = false;
+        }
+    }
+    strong
 }
 
 /// Build the condensed sampling graph: supernodes as nodes, every arc whose
@@ -1082,7 +1146,7 @@ mod tests {
         assert_eq!(idx.st_plan(NodeId(0), NodeId(2)), StPlan::Certain);
         assert_eq!(idx.num_components(), 1);
         // Condensed graph keeps the uncertain edge with its original coin.
-        let c = idx.condensed();
+        let c = idx.condensed().expect("two nodes merged");
         assert_eq!(c.num_nodes(), 2);
         let arcs: Vec<_> = c.out_arcs(NodeId(0)).collect();
         assert_eq!(arcs, vec![(NodeId(1), 0.5, 2)]);
@@ -1224,6 +1288,151 @@ mod tests {
         assert_eq!(s.certain_arcs, 2); // undirected edge counted on both sides
         assert!(s.blocks >= 1);
         assert!(!s.closure);
+    }
+
+    /// `parts` weak components of `size` nodes each. Even parts are a
+    /// possible cycle plus chords (strongly connected); odd parts a chain
+    /// plus forward chords, closed by a `p = 0` arc that the possible graph
+    /// must ignore (not strongly connected). With `certain > 0`, that share
+    /// of the arcs has `p = 1` and a certain 2-cycle `0 <-> 1` collapses
+    /// the head of every part; with 0 the condensation is the identity.
+    fn components_graph(seed: u64, parts: usize, size: usize, certain: f64) -> CsrGraph {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = UncertainGraph::new(parts * size, true);
+        for part in 0..parts {
+            let base = (part * size) as u32;
+            let strong = part % 2 == 0;
+            let prob = |rng: &mut StdRng| {
+                if rng.gen_bool(certain) {
+                    1.0
+                } else {
+                    rng.gen_range(0.1..0.9)
+                }
+            };
+            for i in 0..size as u32 - 1 {
+                let p = if i == 0 && certain > 0.0 {
+                    1.0
+                } else {
+                    prob(&mut rng)
+                };
+                g.add_edge(NodeId(base + i), NodeId(base + i + 1), p)
+                    .unwrap();
+            }
+            if certain > 0.0 {
+                g.add_edge(NodeId(base + 1), NodeId(base), 1.0).unwrap();
+            }
+            let last = base + size as u32 - 1;
+            let close = if strong { prob(&mut rng) } else { 0.0 };
+            g.add_edge(NodeId(last), NodeId(base), close).unwrap();
+            for _ in 0..size / 2 {
+                let a = rng.gen_range(0..size as u32);
+                let b = rng.gen_range(0..size as u32);
+                let (a, b) = if strong { (a, b) } else { (a.min(b), a.max(b)) };
+                if a != b {
+                    let p = prob(&mut rng);
+                    let _ = g.add_edge(NodeId(base + a), NodeId(base + b), p);
+                }
+            }
+        }
+        freeze(&g)
+    }
+
+    /// The plan the per-query BFS pair decides, without the closure or the
+    /// strong-component check.
+    fn bfs_plan(idx: &RelIndex, csr: &CsrGraph, s: NodeId, t: NodeId) -> StPlan {
+        let g = idx.condensed().unwrap_or(csr);
+        let (ss, tt) = (idx.supernode(s).0, idx.supernode(t).0);
+        if ss == tt {
+            return StPlan::Certain;
+        }
+        let fwd = reach_bits(g, ss, false);
+        if !bit(&fwd, tt) {
+            return StPlan::Impossible;
+        }
+        let rev = reach_bits(g, tt, true);
+        let mask: Vec<u64> = fwd.iter().zip(&rev).map(|(f, r)| f & r).collect();
+        StPlan::Sample {
+            s: NodeId(ss),
+            t: NodeId(tt),
+            mask: (mask != fwd).then_some(mask),
+        }
+    }
+
+    #[test]
+    fn strong_component_plans_equal_the_bfs_plans() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Below and above CLOSURE_NODE_LIMIT, identity and condensed.
+        for (seed, parts, size, certain) in [
+            (1u64, 4usize, 40usize, 0.0),
+            (2, 4, 40, 0.15),
+            (3, 4, 400, 0.0),
+            (4, 5, 300, 0.15),
+        ] {
+            let csr = components_graph(seed, parts, size, certain);
+            let idx = RelIndex::build(&csr);
+            assert_eq!(idx.closure.is_some(), parts * size <= CLOSURE_NODE_LIMIT);
+            assert_eq!(idx.is_identity(), certain == 0.0, "seed {seed}");
+            assert_eq!(idx.comp_strong.len(), parts);
+            let strong = idx.comp_strong.iter().filter(|&&x| x).count();
+            assert!(
+                strong > 0 && strong < parts,
+                "seed {seed}: {:?}",
+                idx.comp_strong
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut decided, mut masked) = (0, 0);
+            for _ in 0..400 {
+                let s = rng.gen_range(0..(parts * size) as u32);
+                // Mostly pairs inside one component, where plans differ.
+                let t = if rng.gen_bool(0.8) {
+                    s / size as u32 * size as u32 + rng.gen_range(0..size as u32)
+                } else {
+                    rng.gen_range(0..(parts * size) as u32)
+                };
+                let (s, t) = (NodeId(s), NodeId(t));
+                let plan = idx.st_plan(s, t);
+                assert_eq!(
+                    plan,
+                    bfs_plan(&idx, &csr, s, t),
+                    "seed {seed} ({s:?}, {t:?})"
+                );
+                let in_strong = idx.comp_strong[idx.component(s) as usize];
+                match plan {
+                    StPlan::Sample { mask: None, .. } if in_strong => decided += 1,
+                    StPlan::Sample { mask: Some(_), .. } => masked += 1,
+                    _ => {}
+                }
+            }
+            assert!(decided > 0 && masked > 0, "seed {seed}: {decided} {masked}");
+        }
+    }
+
+    #[test]
+    fn identity_index_holds_no_graph_copy_unless_a_bfs_needs_it() {
+        // All strong, above the closure limit: plans never walk a graph.
+        let mut g = UncertainGraph::new(2000, true);
+        for v in 0..2000u32 {
+            g.add_edge(NodeId(v), NodeId((v + 1) % 2000), 0.5).unwrap();
+            let _ = g.add_edge(NodeId(v), NodeId((v * 7 + 3) % 2000), 0.25);
+        }
+        let idx = RelIndex::build(&freeze(&g));
+        assert!(idx.is_identity() && idx.closure.is_none());
+        assert!(idx.condensed.is_none() && idx.condensed().is_none());
+        // A non-strong component above the limit keeps a copy for its
+        // BFS pair, yet still samples the original graph.
+        let csr = components_graph(5, 4, 400, 0.0);
+        let idx = RelIndex::build(&csr);
+        assert!(idx.condensed.is_some() && idx.condensed().is_none());
+        // Undirected: the block-cut tree decides every plan.
+        let mut g = UncertainGraph::new(2000, false);
+        for v in 0..1999u32 {
+            g.add_edge(NodeId(v), NodeId(v + 1), 0.5).unwrap();
+        }
+        let idx = RelIndex::build(&freeze(&g));
+        assert!(idx.condensed.is_none());
     }
 
     #[test]

@@ -110,6 +110,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The four magic bytes opening every `.rgs` file.
@@ -1470,22 +1471,38 @@ fn map_impl(path: &Path, trusted: bool) -> Result<(CsrGraph, Option<IndexSection
 // Path-level and in-memory conveniences.
 // ---------------------------------------------------------------------------
 
-/// [`write()`](fn@write) to a file path (buffered; creates or truncates).
+/// [`write()`](fn@write) to a file path (buffered; replaces the file
+/// as [`save_full`] does).
 pub fn save<P: AsRef<Path>>(csr: &CsrGraph, path: P) -> Result<(), SnapshotError> {
-    let f = File::create(path)?;
-    write(csr, BufWriter::new(f))?;
-    Ok(())
+    save_full(csr, None, path)
 }
 
-/// [`write_full`] to a file path (buffered; creates or truncates).
+/// [`write_full`] to a file path (buffered; creates or replaces).
+///
+/// The bytes go to a temporary file beside `path`, which is then renamed
+/// over it. A process that has the old file mapped keeps reading the old
+/// inode: truncating it in place would turn that process's mapped pages
+/// into `SIGBUS`. A failed write leaves the old file untouched.
 pub fn save_full<P: AsRef<Path>>(
     csr: &CsrGraph,
     index: Option<&IndexSection>,
     path: P,
 ) -> Result<(), SnapshotError> {
-    let f = File::create(path)?;
-    write_full(csr, index, BufWriter::new(f))?;
-    Ok(())
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".tmp{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = File::create(&tmp)
+        .and_then(|f| write_full(csr, index, BufWriter::new(f)))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    Ok(written?)
 }
 
 /// [`read()`](fn@read) from a file path (buffered).

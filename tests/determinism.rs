@@ -281,6 +281,120 @@ fn packed_kernel_bit_identical_to_scalar_across_shapes_and_threads() {
     }
 }
 
+/// Directed graph over `n` nodes for the frontier-boundary suite: a
+/// likely chain `v -> v + 1` that carries lanes across frontier words,
+/// plus one random chord per node (forward or backward).
+fn boundary_graph(rng: &mut StdRng, n: usize) -> UncertainGraph {
+    let mut g = UncertainGraph::new(n, true);
+    for v in 0..n as u32 {
+        if v + 1 < n as u32 {
+            let _ = g.add_edge(NodeId(v), NodeId(v + 1), rng.gen_range(0.7..0.99));
+        }
+        let u = rng.gen_range(0..n as u32);
+        if u != v {
+            let _ = g.add_edge(NodeId(v), NodeId(u), rng.gen_range(0.05..0.5));
+        }
+    }
+    g
+}
+
+/// Packed ≡ scalar where the packed fixpoint's frontier bookkeeping has
+/// edges: node counts at, below and above one frontier word (64 nodes)
+/// and one frontier-summary word (4096 nodes), and long sparse rings whose
+/// frontier stays a few nodes wide for hundreds of rounds, at and above
+/// the size where the rounds start keeping the summary (65 536 nodes).
+/// Every kernel entry point runs at a Z that is not a multiple of 64, on
+/// one thread, over graphs of growing and then shrinking size, so the
+/// pooled lane scratch of that thread is reused across every size.
+#[test]
+fn packed_kernel_bit_identical_to_scalar_at_frontier_word_boundaries() {
+    use relmax::sampling::{Budget, Estimator, Kernel};
+    let mut rng = StdRng::seed_from_u64(0xDB);
+    // (graph, sources, targets): the first pair is the s-t pair.
+    let mut cases: Vec<(UncertainGraph, [u32; 2], [u32; 2])> = [1u32, 63, 64, 65, 4095, 4096, 4097]
+        .into_iter()
+        .map(|n| {
+            let g = boundary_graph(&mut rng, n as usize);
+            // The target sits in the graph's last frontier word.
+            (g, [0, n / 2], [n - 1, n / 3])
+        })
+        .collect();
+    for ring in [65_536u32, 65_537, 100_000] {
+        let mut g = UncertainGraph::new(ring as usize, true);
+        for v in 0..ring {
+            g.add_edge(NodeId(v), NodeId((v + 1) % ring), 0.995)
+                .unwrap();
+            if v % 1000 == 0 {
+                g.add_edge(NodeId(v), NodeId((v + ring / 2) % ring), 0.5)
+                    .unwrap();
+            }
+        }
+        // Runs that cross into the last frontier word, and across the
+        // boundary between the second and third summary words.
+        cases.push((g, [ring - 300, 8142], [ring - 1, 8242]));
+    }
+    let order: Vec<usize> = (0..cases.len()).chain((0..cases.len()).rev()).collect();
+    let z = 150;
+    let budget = Budget::fixed(z);
+    for (step, &ci) in order.iter().enumerate() {
+        let (g, src, tgt) = &cases[ci];
+        let csr = CsrGraph::freeze(g);
+        let n = csr.num_nodes() as u32;
+        let seed = rng.gen::<u64>();
+        let (sources, targets) = (src.map(NodeId), tgt.map(NodeId));
+        let (s, t) = (sources[0], targets[0]);
+        let cands: Vec<CandidateEdge> = [(n / 2, n - 1), (0, n / 3), (n - 1, 0)]
+            .into_iter()
+            .filter(|&(a, b)| a != b && !g.has_edge(NodeId(a), NodeId(b)))
+            .map(|(a, b)| CandidateEdge {
+                src: NodeId(a),
+                dst: NodeId(b),
+                prob: 0.5,
+            })
+            .collect();
+        let scalar = McEstimator::with_threads(z, seed, 1).with_kernel(Kernel::Scalar);
+        let packed = McEstimator::with_threads(z, seed, 1).with_kernel(Kernel::Packed);
+        let at = format!("step {step}, n = {n}");
+        assert_eq!(
+            scalar.st_estimate(&csr, s, t, budget),
+            packed.st_estimate(&csr, s, t, budget),
+            "st at {at}"
+        );
+        for hops in [Some(3), None] {
+            assert_eq!(
+                scalar.set_estimate(&csr, &sources, &targets, hops, budget),
+                packed.set_estimate(&csr, &sources, &targets, hops, budget),
+                "set {hops:?} at {at}"
+            );
+        }
+        assert_eq!(
+            scalar.expected_hops_estimate(&csr, s, t, budget),
+            packed.expected_hops_estimate(&csr, s, t, budget),
+            "hops at {at}"
+        );
+        assert_eq!(
+            scalar.from_estimates(&csr, s, budget),
+            packed.from_estimates(&csr, s, budget),
+            "from at {at}"
+        );
+        assert_eq!(
+            scalar.to_estimates(&csr, t, budget),
+            packed.to_estimates(&csr, t, budget),
+            "to at {at}"
+        );
+        assert_eq!(
+            scalar.scan_estimates(&csr, s, t, &cands, budget),
+            packed.scan_estimates(&csr, s, t, &cands, budget),
+            "scan at {at}"
+        );
+        assert_eq!(
+            scalar.pairwise_estimates(&csr, &sources, &targets, budget),
+            packed.pairwise_estimates(&csr, &sources, &targets, budget),
+            "pairwise at {at}"
+        );
+    }
+}
+
 /// Adaptive stopping must pick the same checkpoint with the same bits on
 /// both kernels: accuracy budgets are a pure function of the (identical)
 /// accumulated counts.
@@ -454,6 +568,116 @@ fn index_routing_bit_identical_across_matrix() {
     // The draw must exercise both routes, or the matrix proves nothing.
     assert!(sampled_plans > 0, "no trial took the pruned-sampling route");
     assert!(short_circuits > 0, "no trial took the short-circuit route");
+}
+
+/// Two components of `size` nodes and no certain arcs, so the index's
+/// condensation is the identity. Directed: a ring with chords (strongly
+/// connected in the possible graph) beside a chain with forward chords
+/// (not). Undirected: two rings with chords.
+fn identity_instance(rng: &mut StdRng, directed: bool, size: u32) -> UncertainGraph {
+    let mut g = UncertainGraph::new(2 * size as usize, directed);
+    for part in 0..2 {
+        let base = part * size;
+        let ring = part == 0 || !directed;
+        for i in 0..size {
+            if i + 1 < size || ring {
+                let p = rng.gen_range(0.6..0.95);
+                let _ = g.add_edge(NodeId(base + i), NodeId(base + (i + 1) % size), p);
+            }
+            let u = rng.gen_range(0..size);
+            let (a, b) = if ring { (i, u) } else { (i.min(u), i.max(u)) };
+            if a != b {
+                let p = rng.gen_range(0.05..0.5);
+                let _ = g.add_edge(NodeId(base + a), NodeId(base + b), p);
+            }
+        }
+    }
+    g
+}
+
+/// An identity index (no certain arcs) samples the original graph and
+/// decides strongly connected components without a traversal: every
+/// `Sample` plan must give the plain estimator's whole `Estimate`, effort
+/// fields included, and from / to / pairwise / scan must match outright —
+/// across kernels, threads, budgets, directedness, and graphs below and
+/// above the size at which directed plans stop using a precomputed
+/// closure.
+#[test]
+fn identity_index_estimates_bit_identical_to_unindexed() {
+    use relmax::sampling::{Budget, Estimator, Kernel};
+    use relmax::ugraph::{RelIndex, StPlan};
+    use std::sync::Arc;
+
+    let mut rng = StdRng::seed_from_u64(0xDC);
+    let mut sampled = 0;
+    for (trial, (directed, size)) in [(true, 60u32), (true, 600), (false, 60), (false, 600)]
+        .into_iter()
+        .enumerate()
+    {
+        let g = identity_instance(&mut rng, directed, size);
+        let csr = CsrGraph::freeze(&g);
+        let idx = Arc::new(RelIndex::build(&csr));
+        assert!(idx.is_identity() && idx.condensed().is_none());
+        let seed = rng.gen::<u64>();
+        // Pairs inside the strong part, inside the other part (both
+        // directions), and across the two.
+        let pairs = [
+            (3, size / 2),
+            (size + 2, size + size - 3),
+            (size + size - 3, size + 2),
+            (5, size + 5),
+        ]
+        .map(|(a, b)| (NodeId(a), NodeId(b)));
+        let cands = [CandidateEdge {
+            src: NodeId(size - 1),
+            dst: NodeId(size),
+            prob: 0.5,
+        }];
+        let (s, t) = pairs[0];
+        for budget in [Budget::fixed(150), Budget::accuracy_capped(0.1, 0.05, 500)] {
+            let plain = McEstimator::new(1, seed).with_kernel(Kernel::Scalar);
+            for threads in [1, 2] {
+                for kernel in [Kernel::Scalar, Kernel::Packed] {
+                    let routed = McEstimator::with_threads(1, seed, threads)
+                        .with_kernel(kernel)
+                        .with_rel_index(Arc::clone(&idx));
+                    let at = format!("trial {trial} t{threads} {kernel:?} {budget:?}");
+                    for (a, b) in pairs {
+                        let want = plain.st_estimate(&csr, a, b, budget);
+                        let got = routed.st_estimate(&csr, a, b, budget);
+                        if let StPlan::Sample { .. } = idx.st_plan(a, b) {
+                            sampled += 1;
+                            assert_eq!(want, got, "st ({a:?}, {b:?}) {at}");
+                        } else {
+                            assert_eq!(want.value.to_bits(), got.value.to_bits(), "{at}");
+                        }
+                    }
+                    assert_eq!(
+                        plain.from_estimates(&csr, s, budget),
+                        routed.from_estimates(&csr, s, budget),
+                        "from {at}"
+                    );
+                    assert_eq!(
+                        plain.to_estimates(&csr, t, budget),
+                        routed.to_estimates(&csr, t, budget),
+                        "to {at}"
+                    );
+                    let (ss, ts) = ([s, pairs[1].0], [t, pairs[1].1]);
+                    assert_eq!(
+                        plain.pairwise_estimates(&csr, &ss, &ts, budget),
+                        routed.pairwise_estimates(&csr, &ss, &ts, budget),
+                        "pairwise {at}"
+                    );
+                    assert_eq!(
+                        plain.scan_estimates(&csr, s, t, &cands, budget),
+                        routed.scan_estimates(&csr, s, t, &cands, budget),
+                        "scan {at}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(sampled > 0, "no pair took the sampling route");
 }
 
 /// The constrained query vocabulary — hop-bounded s-t, set reliability

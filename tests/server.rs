@@ -1100,3 +1100,104 @@ fn compaction_runs_off_the_query_path() {
         "compaction moved results"
     );
 }
+
+/// Run a `relmax` CLI verb to completion, asserting success.
+fn relmax_cli(args: &[&std::ffi::OsStr]) {
+    let status = Command::new(relmax_bin())
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("run relmax");
+    assert!(status.success(), "relmax {args:?} failed");
+}
+
+/// Two background folds, each with a long read in flight beside it. The
+/// first fold installs `<snapshot>.compacted.rgs` as the live, mapped
+/// generation; the second rewrites that same path while the read samples
+/// its pages. The snapshot writer must replace the file, not truncate it
+/// under the mapping (which killed the server with SIGBUS).
+#[test]
+fn folds_beside_inflight_reads_replace_the_mapped_snapshot() {
+    let dir = scratch("fold-mapped");
+    let tsv = dir.join("ring.tsv");
+    let rgs = dir.join("ring.rgs");
+    relmax_cli(&[
+        "gen".as_ref(),
+        "--nodes".as_ref(),
+        "20000".as_ref(),
+        "--degree".as_ref(),
+        "4".as_ref(),
+        "-o".as_ref(),
+        tsv.as_os_str(),
+    ]);
+    relmax_cli(&[
+        "ingest".as_ref(),
+        tsv.as_os_str(),
+        "-o".as_ref(),
+        rgs.as_os_str(),
+    ]);
+    let mut srv = Server::spawn(
+        &rgs,
+        &["--threads", "2", "--samples", "256", "--compact-after", "1"],
+        &[],
+    );
+    let addr = srv.addr.clone();
+    // The read must outlast the fold (folding and writing ~5 MB). A debug
+    // build samples about 40x slower than a release build.
+    let lines = if cfg!(debug_assertions) { 4 } else { 64 };
+    let read = "topk 0 10\n".repeat(lines);
+    let mut expected = rgs.clone();
+    for (fold, p) in ["0.25", "0.75"].into_iter().enumerate() {
+        let ups = format!("setp 0 1 {p}\n");
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| query(&addr, &read));
+            std::thread::sleep(Duration::from_millis(100));
+            let u = update(&addr, &ups);
+            assert_eq!(u.status, 200, "{}", u.body);
+            let r = reader.join().expect("reader thread");
+            assert_eq!(r.status, 200, "read beside fold {fold}: {}", r.body);
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        loop {
+            let h = http(&addr, "GET", "/healthz", None);
+            assert_eq!(h.status, 200, "{}", h.body);
+            if json_u64(&h.body, "pending_updates") == 0 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "fold {fold} never installed: {}",
+                h.body
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        // The CLI oracle applies the same update to the previous fold.
+        let upfile = dir.join(format!("ups{fold}.txt"));
+        std::fs::write(&upfile, &ups).expect("write update file");
+        let out = dir.join(format!("refrozen{fold}.rgs"));
+        relmax_cli(&[
+            "update".as_ref(),
+            expected.as_os_str(),
+            "--updates".as_ref(),
+            upfile.as_os_str(),
+            "-o".as_ref(),
+            out.as_os_str(),
+        ]);
+        expected = out;
+    }
+    assert!(
+        srv.child.try_wait().expect("poll server").is_none(),
+        "the server died during the folds"
+    );
+    assert_eq!(metric(&addr, "compactions_total"), 2);
+    assert_eq!(metric(&addr, "compaction_failures_total"), 0);
+    let compacted =
+        std::fs::read(format!("{}.compacted.rgs", rgs.display())).expect("compacted snapshot");
+    assert!(!compacted.is_empty(), "the compacted snapshot is empty");
+    assert_eq!(
+        compacted,
+        std::fs::read(&expected).expect("CLI refreeze"),
+        "the compacted snapshot differs from `relmax update`"
+    );
+}
